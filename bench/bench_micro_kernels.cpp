@@ -33,7 +33,6 @@
 #include "dataset/mica.h"
 #include "dataset/synthetic_spec.h"
 #include "experiments/harness.h"
-#include "legacy_mlp.h"
 #include "ml/kmedoids.h"
 #include "ml/pca.h"
 #include "ml/mlp.h"
@@ -148,39 +147,6 @@ BM_MlpTrainEpochs(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MlpTrainEpochs)->Arg(10)->Arg(50);
-
-/**
- * The PR 1 baseline the workspace engine is measured against:
- * bench/legacy_mlp.{h,cpp} carry the pre-workspace Mlp implementation
- * verbatim, compiled as its own translation unit exactly as it used to
- * be. Every sample of every epoch heap-allocates its input row, the
- * per-layer forward outputs and the per-layer delta vectors, and every
- * unit activation is an out-of-line call. Numerically identical to
- * Mlp::fit for the same seed at this benchmark's layer widths (the
- * canonical lane-blocked reduction degenerates to the legacy
- * sequential sum below 16 terms); only the memory and call behaviour
- * differ.
- */
-void
-BM_MlpTrainEpochsLegacy(benchmark::State &state)
-{
-    util::Rng rng(4);
-    const std::size_t rows = 100;
-    const std::size_t cols = 28;
-    linalg::Matrix x(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r)
-        for (std::size_t c = 0; c < cols; ++c)
-            x(r, c) = rng.uniform(1.0, 50.0);
-    const auto y = randomVector(rows, rng);
-    bench_legacy::MlpConfig config;
-    config.epochs = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        bench_legacy::Mlp net(config);
-        net.fit(x, y);
-        benchmark::DoNotOptimize(net.trainingMse());
-    }
-}
-BENCHMARK(BM_MlpTrainEpochsLegacy)->Arg(10)->Arg(50);
 
 /**
  * The GEMM-backed minibatch engine at the exact shape of
@@ -660,13 +626,14 @@ BM_KernelMlpForward(benchmark::State &state, int tier)
 {
     util::Rng rng(24);
     const auto width = static_cast<std::size_t>(state.range(0));
-    const auto wt = randomVector(width * width, rng);
-    const auto bias = randomVector(width, rng);
+    const std::size_t ld = simd::mlpPadded(width);
+    const auto wt = randomVector(width * ld, rng);
+    const auto bias = randomVector(ld, rng);
     const auto a_in = randomVector(width, rng);
-    std::vector<double> a_out(width, 0.0);
+    std::vector<double> a_out(ld, 0.0);
     const simd::KernelTable &kt = kernelTable(tier);
     for (auto _ : state) {
-        kt.mlpLayerNets(width, width, wt.data(), bias.data(),
+        kt.mlpLayerNets(width, width, ld, wt.data(), bias.data(),
                         a_in.data(), a_out.data());
         benchmark::DoNotOptimize(a_out.data());
         benchmark::ClobberMemory();
@@ -678,15 +645,16 @@ BM_KernelMlpUpdate(benchmark::State &state, int tier)
 {
     util::Rng rng(25);
     const auto width = static_cast<std::size_t>(state.range(0));
+    const std::size_t ld = simd::mlpPadded(width);
     const auto in_act = randomVector(width, rng);
-    auto d = randomVector(width, rng);
-    auto wt = randomVector(width * width, rng);
-    std::vector<double> pwt(width * width, 0.0);
-    auto bias = randomVector(width, rng);
-    std::vector<double> pb(width, 0.0);
+    auto d = randomVector(ld, rng);
+    auto wt = randomVector(width * ld, rng);
+    std::vector<double> pwt(width * ld, 0.0);
+    auto bias = randomVector(ld, rng);
+    std::vector<double> pb(ld, 0.0);
     const simd::KernelTable &kt = kernelTable(tier);
     for (auto _ : state) {
-        kt.mlpUpdateLayer(width, width, 1e-9, 0.2, in_act.data(),
+        kt.mlpUpdateLayer(width, width, ld, 1e-9, 0.2, in_act.data(),
                           d.data(), wt.data(), pwt.data(), bias.data(),
                           pb.data());
         benchmark::DoNotOptimize(wt.data());
@@ -723,14 +691,15 @@ BM_KernelBatchNets(benchmark::State &state, int tier)
     const std::size_t bn = 100;
     const auto in = static_cast<std::size_t>(state.range(0));
     const std::size_t out = in / 2;
+    const std::size_t ld = simd::mlpPadded(out);
     const auto a = randomVector(bn * in, rng);
-    const auto wt = randomVector(in * out, rng);
-    const auto bias = randomVector(out, rng);
-    std::vector<double> nets(bn * out, 0.0);
+    const auto wt = randomVector(in * ld, rng);
+    const auto bias = randomVector(ld, rng);
+    std::vector<double> nets(bn * ld, 0.0);
     const simd::KernelTable &kt = kernelTable(tier);
     for (auto _ : state) {
-        kt.mlpBatchNets(bn, in, out, a.data(), in, wt.data(),
-                        bias.data(), nets.data(), out);
+        kt.mlpBatchNets(bn, in, out, ld, a.data(), in, wt.data(),
+                        bias.data(), nets.data(), ld);
         benchmark::DoNotOptimize(nets.data());
         benchmark::ClobberMemory();
     }
@@ -744,12 +713,13 @@ BM_KernelGradAccum(benchmark::State &state, int tier)
     const std::size_t bn = 100;
     const auto in = static_cast<std::size_t>(state.range(0));
     const std::size_t out = in / 2;
-    const auto d = randomVector(bn * out, rng);
+    const std::size_t ld = simd::mlpPadded(out);
+    const auto d = randomVector(bn * ld, rng);
     const auto a = randomVector(bn * in, rng);
-    std::vector<double> gw(out * in, 0.0);
+    std::vector<double> gw(in * ld, 0.0);
     const simd::KernelTable &kt = kernelTable(tier);
     for (auto _ : state) {
-        kt.mlpGradAccum(bn, out, in, d.data(), out, a.data(), in,
+        kt.mlpGradAccum(bn, out, in, ld, d.data(), ld, a.data(), in,
                         gw.data());
         benchmark::DoNotOptimize(gw.data());
         benchmark::ClobberMemory();

@@ -86,42 +86,24 @@ scaleByDerivative(Activation act, std::size_t width,
 
 /**
  * The minibatch momentum step: dw = step * grad + momentum * prev,
- * applied elementwise over a whole layer's weights (or biases) once
- * per batch — the per-sample engine pays this read-modify-write
- * traffic once per SAMPLE, which is most of what the batched engine
- * saves. Tier-independent plain code, so bit-identical everywhere.
+ * applied elementwise to the `cols` real lanes of each of `rows` rows
+ * `ld` apart (a layer's weights, or rows = 1 for its biases) once per
+ * batch — the per-sample engine pays this read-modify-write traffic
+ * once per SAMPLE, which is most of what the batched engine saves.
+ * Tier-independent plain code, so bit-identical everywhere.
  */
 inline void
 momentumUpdate(double *__restrict w, double *__restrict prev,
                const double *__restrict grad, double step,
-               double momentum, std::size_t n)
+               double momentum, std::size_t rows, std::size_t cols,
+               std::size_t ld)
 {
-    for (std::size_t i = 0; i < n; ++i) {
-        const double dw = step * grad[i] + momentum * prev[i];
-        w[i] += dw;
-        prev[i] = dw;
-    }
-}
-
-/**
- * The same momentum step with the gradient (and its momentum state)
- * in unit-major [unit][input] order — the layout the outer-product
- * gradient sweep fills — applied to the transposed [input][unit]
- * weight storage. One strided pass per layer per batch; still plain
- * elementwise arithmetic, so bit-identical in every tier.
- */
-inline void
-momentumUpdateTransposed(double *__restrict w, double *__restrict prev,
-                         const double *__restrict grad, double step,
-                         double momentum, std::size_t in,
-                         std::size_t out)
-{
-    for (std::size_t r = 0; r < out; ++r)
-        for (std::size_t c = 0; c < in; ++c) {
-            const std::size_t g = r * in + c;
-            const double dw = step * grad[g] + momentum * prev[g];
-            w[c * out + r] += dw;
-            prev[g] = dw;
+    for (std::size_t r = 0; r < rows; ++r)
+        for (std::size_t c = 0; c < cols; ++c) {
+            const std::size_t i = r * ld + c;
+            const double dw = step * grad[i] + momentum * prev[i];
+            w[i] += dw;
+            prev[i] = dw;
         }
 }
 
@@ -136,12 +118,20 @@ MlpWorkspace::resize(const std::vector<std::size_t> &layer_sizes)
                   "MlpWorkspace::resize: needs input and output layers");
     sizes_ = layer_sizes;
     const std::size_t n_layers = sizes_.size() - 1;
+    ld_.assign(n_layers, 1);
     wOff_.assign(n_layers + 1, 0);
     uOff_.assign(sizes_.size() + 1, 0);
-    for (std::size_t li = 0; li < n_layers; ++li)
-        wOff_[li + 1] = wOff_[li] + sizes_[li + 1] * sizes_[li];
+    // Every offset is a whole number of 8-double rows, so each block
+    // of the 64-byte-aligned buffers starts on its own cache line.
+    for (std::size_t li = 0; li < n_layers; ++li) {
+        const std::size_t out = sizes_[li + 1];
+        if (out > 1)
+            ld_[li] = simd::mlpPadded(out);
+        wOff_[li + 1] =
+            wOff_[li] + simd::mlpPadded(sizes_[li] * ld_[li]);
+    }
     for (std::size_t i = 0; i < sizes_.size(); ++i)
-        uOff_[i + 1] = uOff_[i] + sizes_[i];
+        uOff_[i + 1] = uOff_[i] + simd::mlpPadded(sizes_[i]);
 
     weights_.resize(wOff_[n_layers]);
     prevDw_.resize(wOff_[n_layers]);
@@ -177,8 +167,9 @@ MlpWorkspace::ensureBatch(std::size_t rows)
                   "MlpWorkspace::ensureBatch: call resize() first");
     if (rows > batchRows_)
         batchRows_ = rows;
-    // batchRows_ is the row stride of every per-layer block below, so
-    // the blocks only grow; a smaller batch reuses the larger layout.
+    // Layer i's batch block holds batchRows_ padded rows at offset
+    // uOff_[i] * batchRows_, so the blocks only grow; a smaller batch
+    // reuses the larger layout.
     const std::size_t total = uOff_.back() * batchRows_;
     if (actsB_.size() < total)
         actsB_.resize(total);
@@ -292,12 +283,13 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
         const std::size_t out = sizes[li + 1];
         layer.weights = linalg::Matrix(out, in);
         const double *wt = ws.weights_.data() + ws.wOff_[li];
+        const std::size_t ld = ws.ld_[li];
         for (std::size_t r = 0; r < out; ++r) {
-            // Both engines train in the transposed [input][unit]
-            // layout; gather each unit's row out of it.
+            // Both engines train in the padded [input][unit] layout;
+            // gather each unit's row out of it.
             double *row = layer.weights.rowData(r);
             for (std::size_t c = 0; c < in; ++c)
-                row[c] = wt[c * out + r];
+                row[c] = wt[c * ld + r];
         }
         layer.bias.assign(ws.bias_.begin() +
                               static_cast<std::ptrdiff_t>(ws.uOff_[li + 1]),
@@ -313,6 +305,39 @@ Mlp::fit(const linalg::Matrix &x, const std::vector<double> &y,
     trained_ = true;
 }
 
+void
+Mlp::initWeights(util::Rng &rng, MlpWorkspace &ws) const
+{
+    // The RNG draw order (per layer, per output unit: all incoming
+    // weights in ascending input order, then the bias) matches the
+    // pre-workspace implementation exactly, so the same seed yields
+    // bit-identical networks in either engine. Storage is the padded
+    // [input][unit] layout, so the draws land at strided positions —
+    // but only once per fit. Pad lanes and momentum state start at
+    // +0.0.
+    std::fill(ws.weights_.begin(), ws.weights_.end(), 0.0);
+    std::fill(ws.bias_.begin(), ws.bias_.end(), 0.0);
+    std::fill(ws.prevDw_.begin(), ws.prevDw_.end(), 0.0);
+    std::fill(ws.prevDb_.begin(), ws.prevDb_.end(), 0.0);
+    const std::vector<std::size_t> &sizes = ws.sizes_;
+    for (std::size_t li = 0; li + 1 < sizes.size(); ++li) {
+        const std::size_t in = sizes[li];
+        const std::size_t out = sizes[li + 1];
+        const std::size_t ld = ws.ld_[li];
+        double *__restrict wt = ws.weights_.data() + ws.wOff_[li];
+        double *__restrict bias = ws.bias_.data() + ws.uOff_[li + 1];
+        for (std::size_t r = 0; r < out; ++r) {
+            for (std::size_t c = 0; c < in; ++c)
+                wt[c * ld + r] = rng.uniform(-config_.initWeightRange,
+                                             config_.initWeightRange);
+            bias[r] = rng.uniform(-config_.initWeightRange,
+                                  config_.initWeightRange);
+        }
+    }
+    for (std::size_t i = 0; i < ws.visit_.size(); ++i)
+        ws.visit_[i] = i;
+}
+
 bool
 Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
                double lr_base, std::uint64_t seed, MlpWorkspace &ws) const
@@ -325,35 +350,11 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
     // One dispatch lookup per fit; the per-sample loops below call the
     // resolved table directly.
     const simd::KernelTable &kt = simd::kernels();
-
-    // Initialize weights. The RNG draw order (per layer, per output
-    // unit: all incoming weights in ascending input order, then the
-    // bias) matches the pre-workspace implementation exactly, so the
-    // same seed yields bit-identical networks. Storage is transposed
-    // ([input][unit], unit index fastest), so the draws land at strided
-    // positions — but only once per fit.
     util::Rng rng(seed);
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const std::size_t in = sizes[li];
-        const std::size_t out = sizes[li + 1];
-        double *__restrict wt = ws.weights_.data() + ws.wOff_[li];
-        double *__restrict bias = ws.bias_.data() + ws.uOff_[li + 1];
-        for (std::size_t r = 0; r < out; ++r) {
-            for (std::size_t c = 0; c < in; ++c)
-                wt[c * out + r] = rng.uniform(-config_.initWeightRange,
-                                              config_.initWeightRange);
-            bias[r] = rng.uniform(-config_.initWeightRange,
-                                  config_.initWeightRange);
-        }
-    }
-    std::fill(ws.prevDw_.begin(), ws.prevDw_.end(), 0.0);
-    std::fill(ws.prevDb_.begin(), ws.prevDb_.end(), 0.0);
+    initWeights(rng, ws);
 
     // Stochastic backpropagation with momentum.
     const std::size_t n = xn.rows();
-    for (std::size_t i = 0; i < n; ++i)
-        ws.visit_[i] = i;
-
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
         if (config_.shuffleEachEpoch)
             rng.shuffle(ws.visit_);
@@ -366,11 +367,11 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
             const std::size_t i = ws.visit_[vi];
             const double *__restrict input = xn.rowData(i);
 
-            // Forward pass over the transposed weight layout.
+            // Forward pass over the padded transposed weight layout.
             for (std::size_t li = 0; li < n_layers; ++li) {
                 const std::size_t out = sizes[li + 1];
                 double *a_out = ws.acts_.data() + ws.uOff_[li + 1];
-                kt.mlpLayerNets(sizes[li], out,
+                kt.mlpLayerNets(sizes[li], out, ws.ld_[li],
                                 ws.weights_.data() + ws.wOff_[li],
                                 ws.bias_.data() + ws.uOff_[li + 1],
                                 li == 0 ? input
@@ -391,7 +392,7 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
             for (std::size_t lk = n_layers - 1; lk-- > 0;) {
                 const std::size_t width = sizes[lk + 1];
                 double *d = ws.deltas_.data() + ws.uOff_[lk + 1];
-                kt.mlpLayerDeltas(width, sizes[lk + 2],
+                kt.mlpLayerDeltas(width, sizes[lk + 2], ws.ld_[lk + 1],
                                   ws.weights_.data() + ws.wOff_[lk + 1],
                                   ws.deltas_.data() + ws.uOff_[lk + 2],
                                   d);
@@ -401,7 +402,7 @@ Mlp::trainOnce(const linalg::Matrix &xn, const std::vector<double> &yn,
 
             // Weight updates with momentum.
             for (std::size_t lk = 0; lk < n_layers; ++lk)
-                kt.mlpUpdateLayer(sizes[lk], sizes[lk + 1], lr,
+                kt.mlpUpdateLayer(sizes[lk], sizes[lk + 1], ws.ld_[lk], lr,
                                   config_.momentum,
                                   lk == 0 ? input
                                           : ws.acts_.data() + ws.uOff_[lk],
@@ -435,36 +436,19 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
     const std::size_t batch = config_.batchSize == 0
                                   ? n
                                   : std::min(config_.batchSize, n);
-    // Row stride of the per-layer batch blocks; >= any bn used below.
-    const std::size_t stride = ws.batchRows_;
+    // Row count of the per-layer batch blocks; >= any bn used below.
+    const std::size_t rows = ws.batchRows_;
+    // Layer i's batch block: `rows` padded rows of width pw(i).
+    const auto pw = [&](std::size_t i) { return simd::mlpPadded(sizes[i]); };
+    const auto actsB = [&](std::size_t i) {
+        return ws.actsB_.data() + ws.uOff_[i] * rows;
+    };
+    const auto deltasB = [&](std::size_t i) {
+        return ws.deltasB_.data() + ws.uOff_[i] * rows;
+    };
 
-    // Initialize weights with the exact RNG draw order of the
-    // per-sample engine (per layer, per output unit: incoming weights
-    // input-ascending, then the bias), so the same seed starts both
-    // engines from the identical network. Storage is the same
-    // transposed ([input][unit]) layout the per-sample engine uses:
-    // each layer is the panel whose rows the mlpBatchNets forward
-    // kernel streams contiguously, and publication needs no special
-    // case.
     util::Rng rng(seed);
-    for (std::size_t li = 0; li < n_layers; ++li) {
-        const std::size_t in = sizes[li];
-        const std::size_t out = sizes[li + 1];
-        double *__restrict wt = ws.weights_.data() + ws.wOff_[li];
-        double *__restrict bias = ws.bias_.data() + ws.uOff_[li + 1];
-        for (std::size_t r = 0; r < out; ++r) {
-            for (std::size_t c = 0; c < in; ++c)
-                wt[c * out + r] = rng.uniform(-config_.initWeightRange,
-                                              config_.initWeightRange);
-            bias[r] = rng.uniform(-config_.initWeightRange,
-                                  config_.initWeightRange);
-        }
-    }
-    std::fill(ws.prevDw_.begin(), ws.prevDw_.end(), 0.0);
-    std::fill(ws.prevDb_.begin(), ws.prevDb_.end(), 0.0);
-
-    for (std::size_t i = 0; i < n; ++i)
-        ws.visit_[i] = i;
+    initWeights(rng, ws);
 
     for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
         if (config_.shuffleEachEpoch)
@@ -479,11 +463,9 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
 
             // Gather the batch rows into the layer-0 activation block
             // (visit order scatters them across xn).
-            const std::size_t in0 = sizes[0];
-            double *a0 = ws.actsB_.data();
             for (std::size_t s = 0; s < bn; ++s) {
                 const double *src = xn.rowData(ws.visit_[b0 + s]);
-                std::copy(src, src + in0, a0 + s * in0);
+                std::copy(src, src + sizes[0], actsB(0) + s * pw(0));
             }
 
             // Forward: per layer, one whole-batch GEMM through the
@@ -491,90 +473,75 @@ Mlp::trainOnceBatched(const linalg::Matrix &xn,
             // mlpLayerNets arithmetic, so the batched forward is
             // bit-identical to the per-sample engine's; the in-kernel
             // sample loop overlaps samples), then the activation
-            // sweep over the whole bn x out block.
+            // sweep over each row's real lanes.
             for (std::size_t li = 0; li < n_layers; ++li) {
-                const std::size_t in = sizes[li];
                 const std::size_t out = sizes[li + 1];
-                const double *a_in =
-                    ws.actsB_.data() + ws.uOff_[li] * stride;
-                double *a_out =
-                    ws.actsB_.data() + ws.uOff_[li + 1] * stride;
-                const double *wt = ws.weights_.data() + ws.wOff_[li];
-                const double *bias = ws.bias_.data() + ws.uOff_[li + 1];
-                kt.mlpBatchNets(bn, in, out, a_in, in, wt, bias, a_out,
-                                out);
-                applyActivation(layerActivation(li, n_layers), bn * out,
-                                a_out);
+                double *a_out = actsB(li + 1);
+                kt.mlpBatchNets(bn, sizes[li], out, ws.ld_[li], actsB(li),
+                                pw(li), ws.weights_.data() + ws.wOff_[li],
+                                ws.bias_.data() + ws.uOff_[li + 1], a_out,
+                                pw(li + 1));
+                for (std::size_t s = 0; s < bn; ++s)
+                    applyActivation(layerActivation(li, n_layers), out,
+                                    a_out + s * pw(li + 1));
             }
 
             // Output deltas and the epoch loss (batch order is visit
             // order, so the sse accumulation is deterministic).
-            const double *preds =
-                ws.actsB_.data() + ws.uOff_[n_layers] * stride;
-            double *d_out =
-                ws.deltasB_.data() + ws.uOff_[n_layers] * stride;
+            const double *preds = actsB(n_layers);
+            double *d_out = deltasB(n_layers);
+            const std::size_t pw_out = pw(n_layers);
             const Activation out_act =
                 layerActivation(n_layers - 1, n_layers);
             for (std::size_t s = 0; s < bn; ++s) {
-                const double err = yn[ws.visit_[b0 + s]] - preds[s];
+                const double pred = preds[s * pw_out];
+                const double err = yn[ws.visit_[b0 + s]] - pred;
                 sse += err * err;
-                d_out[s] =
-                    err * activateDerivativeFromOutput(out_act, preds[s]);
+                d_out[s * pw_out] =
+                    err * activateDerivativeFromOutput(out_act, pred);
             }
 
             // Backward: the per-sample delta recurrence kernel over
-            // the transposed layout (canonical dot per unit against
-            // the successor layer's contiguous weight row; an
-            // elementwise product when the successor has one unit).
+            // the padded layout (canonical dot per unit against the
+            // successor layer's weight row; an elementwise product
+            // when the successor has one unit).
             for (std::size_t lk = n_layers - 1; lk-- > 0;) {
                 const std::size_t width = sizes[lk + 1];
-                const std::size_t width_next = sizes[lk + 2];
-                double *d =
-                    ws.deltasB_.data() + ws.uOff_[lk + 1] * stride;
-                const double *d_next =
-                    ws.deltasB_.data() + ws.uOff_[lk + 2] * stride;
-                const double *w_next =
-                    ws.weights_.data() + ws.wOff_[lk + 1];
-                for (std::size_t s = 0; s < bn; ++s)
-                    kt.mlpLayerDeltas(width, width_next, w_next,
-                                      d_next + s * width_next,
-                                      d + s * width);
-                scaleByDerivative(layerActivation(lk, n_layers),
-                                  bn * width,
-                                  ws.actsB_.data() +
-                                      ws.uOff_[lk + 1] * stride,
-                                  d);
+                for (std::size_t s = 0; s < bn; ++s) {
+                    double *d = deltasB(lk + 1) + s * pw(lk + 1);
+                    kt.mlpLayerDeltas(width, sizes[lk + 2], ws.ld_[lk + 1],
+                                      ws.weights_.data() + ws.wOff_[lk + 1],
+                                      deltasB(lk + 2) + s * pw(lk + 2), d);
+                    scaleByDerivative(layerActivation(lk, n_layers), width,
+                                      actsB(lk + 1) + s * pw(lk + 1), d);
+                }
             }
 
             // Gradient sums over the batch: the fused batch kernel
             // overwrites gw with sample-ascending rank-1 adds from
             // zero (elementwise, so tier-independent — identical bits
-            // to a per-sample accumulation sweep), then ONE batch-mean
-            // momentum update per layer. The gradient matrix is
-            // unit-major ([unit][input], contiguous rows); the
-            // momentum step transposes it onto the [input][unit]
-            // weight storage once per batch.
+            // to a per-sample accumulation sweep), in the weights' own
+            // padded layout, then ONE batch-mean momentum update per
+            // layer.
             for (std::size_t lk = 0; lk < n_layers; ++lk) {
                 const std::size_t in = sizes[lk];
                 const std::size_t out = sizes[lk + 1];
+                const std::size_t ld = ws.ld_[lk];
                 double *gw = ws.gradW_.data() + ws.wOff_[lk];
                 double *gb = ws.gradB_.data() + ws.uOff_[lk + 1];
                 std::fill(gb, gb + out, 0.0);
-                const double *a_in =
-                    ws.actsB_.data() + ws.uOff_[lk] * stride;
-                const double *d =
-                    ws.deltasB_.data() + ws.uOff_[lk + 1] * stride;
-                kt.mlpGradAccum(bn, out, in, d, out, a_in, in, gw);
+                const double *d = deltasB(lk + 1);
+                kt.mlpGradAccum(bn, out, in, ld, d, pw(lk + 1), actsB(lk),
+                                pw(lk), gw);
                 for (std::size_t s = 0; s < bn; ++s)
-                    kt.axpy(gb, d + s * out, 1.0, out);
+                    kt.axpy(gb, d + s * pw(lk + 1), 1.0, out);
                 const double step = lr / static_cast<double>(bn);
-                momentumUpdateTransposed(
-                    ws.weights_.data() + ws.wOff_[lk],
-                    ws.prevDw_.data() + ws.wOff_[lk], gw, step,
-                    config_.momentum, in, out);
+                momentumUpdate(ws.weights_.data() + ws.wOff_[lk],
+                               ws.prevDw_.data() + ws.wOff_[lk], gw, step,
+                               config_.momentum, in, out, ld);
                 momentumUpdate(ws.bias_.data() + ws.uOff_[lk + 1],
                                ws.prevDb_.data() + ws.uOff_[lk + 1], gb,
-                               step, config_.momentum, out);
+                               step, config_.momentum, 1, out, out);
             }
         }
         ws.loss_[epoch] = sse / static_cast<double>(n);

@@ -14,11 +14,17 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "linalg/matrix.h"
 #include "ml/activation.h"
 #include "ml/normalizer.h"
+
+namespace dtrank::util
+{
+class Rng;
+}
 
 namespace dtrank::ml
 {
@@ -91,6 +97,17 @@ struct MlpConfig
  * workspace per thread by default; pass an explicit workspace to
  * control reuse and lifetime.
  *
+ * Layout (the padded layout of simd.h): a layer of out > 1 units
+ * stores its weights transposed, [input][unit], in rows of
+ * ld = simd::mlpPadded(out) doubles; the single-unit output layer
+ * stores one contiguous column of `in` weights. Every unit-wide block
+ * (biases, activations, deltas, momentum state) is padded to whole
+ * 8-double rows the same way, and every block starts on a 64-byte
+ * cache line, so a 14-unit row is exactly two zmm registers and never
+ * splits a line. Every training run resets the pad lanes of the
+ * weights, biases and momentum state to +0.0, and no real lane ever
+ * reads a pad lane.
+ *
  * Not thread safe: use one workspace per thread.
  */
 class MlpWorkspace
@@ -124,34 +141,74 @@ class MlpWorkspace
   private:
     friend class Mlp;
 
+    /** One 64-byte cache line of doubles. */
+    struct alignas(64) CacheLine
+    {
+        double lane[8];
+    };
+
+    /**
+     * Allocator that starts every buffer on a cache line: storage
+     * comes in whole CacheLines from std::allocator, which honours
+     * their over-alignment.
+     */
+    template <class T>
+    struct CacheLineAllocator
+    {
+        using value_type = T;
+
+        CacheLineAllocator() = default;
+        template <class U>
+        CacheLineAllocator(const CacheLineAllocator<U> &) noexcept
+        {
+        }
+        static std::size_t lines(std::size_t n)
+        {
+            return (n * sizeof(T) + sizeof(CacheLine) - 1) /
+                   sizeof(CacheLine);
+        }
+        T *allocate(std::size_t n)
+        {
+            return reinterpret_cast<T *>(
+                std::allocator<CacheLine>().allocate(lines(n)));
+        }
+        void deallocate(T *p, std::size_t n) noexcept
+        {
+            std::allocator<CacheLine>().deallocate(
+                reinterpret_cast<CacheLine *>(p), lines(n));
+        }
+        friend bool operator==(const CacheLineAllocator &,
+                               const CacheLineAllocator &)
+        {
+            return true;
+        }
+    };
+    using Buffer = std::vector<double, CacheLineAllocator<double>>;
+
     std::vector<std::size_t> sizes_; ///< input, hidden..., output
+    std::vector<std::size_t> ld_;    ///< per-layer weight row stride
     std::vector<std::size_t> wOff_;  ///< per-layer offset into weights_
     std::vector<std::size_t> uOff_;  ///< per-layer offset into unit-wide
                                      ///< buffers (bias_, acts_, ...)
-    std::vector<double> weights_;    ///< all layers, transposed in x out
-                                     ///< (unit index fastest, so the
-                                     ///< forward/update loops vectorize
-                                     ///< across units)
-    std::vector<double> prevDw_;     ///< momentum state for weights_
-    std::vector<double> bias_;       ///< all layers' biases
-    std::vector<double> prevDb_;     ///< momentum state for bias_
-    std::vector<double> acts_;       ///< per-layer outputs of one sample
-    std::vector<double> deltas_;     ///< per-layer dE/d(net) of one sample
+    Buffer weights_;                 ///< all layers, [input][unit]
+    Buffer prevDw_;                  ///< momentum state for weights_
+    Buffer bias_;                    ///< all layers' biases
+    Buffer prevDb_;                  ///< momentum state for bias_
+    Buffer acts_;                    ///< per-layer outputs of one sample
+    Buffer deltas_;                  ///< per-layer dE/d(net) of one sample
     std::vector<double> loss_;       ///< per-epoch MSE of the current run
     std::vector<std::size_t> visit_; ///< row visit order of one epoch
 
-    // Minibatch-engine buffers (batchSize != 1). The batched engine
-    // stores weights_ UNIT-major ([unit][input], input index fastest)
-    // so each unit's weight vector is a contiguous GEMM operand; the
-    // per-sample engine keeps the transposed [input][unit] layout
-    // above. A workspace is only ever warm for one engine at a time —
-    // trainOnce reinitializes all weights per fit either way.
+    // Minibatch-engine buffers (batchSize != 1). Both engines share the
+    // weight layout above; the batch blocks hold one padded unit-wide
+    // row per sample.
     std::size_t batchRows_ = 0;      ///< rows the batch buffers hold
-    std::vector<double> gradW_;      ///< batch weight-gradient sums
-    std::vector<double> gradB_;      ///< batch bias-gradient sums
-    std::vector<double> actsB_;      ///< per-layer outputs, batch-wide
+    Buffer gradW_;                   ///< batch weight-gradient sums,
+                                     ///< laid out like weights_
+    Buffer gradB_;                   ///< batch bias-gradient sums
+    Buffer actsB_;                   ///< per-layer outputs, batch-wide
                                      ///< (layer i at uOff_[i] * rows)
-    std::vector<double> deltasB_;    ///< per-layer deltas, batch-wide
+    Buffer deltasB_;                 ///< per-layer deltas, batch-wide
 };
 
 /**
@@ -224,6 +281,13 @@ class Mlp
     double forwardScalar(const std::vector<double> &input) const;
 
     /**
+     * Seeds the workspace for one training run: weights and biases
+     * drawn from `rng`, pad lanes and momentum state zeroed, and the
+     * identity visit order.
+     */
+    void initWeights(util::Rng &rng, MlpWorkspace &ws) const;
+
+    /**
      * One full training run at the given base learning rate, entirely
      * inside the workspace buffers (no heap allocation in the epoch
      * loop). The accepted run's weights are copied into layers_ by
@@ -240,11 +304,10 @@ class Mlp
      * whole-batch kernel-table calls (mlpBatchNets for forward nets,
      * the per-sample mlpLayerDeltas recurrence, and mlpGradAccum plus
      * an axpy sweep for the gradient sums) with one batch-mean
-     * momentum update per layer per batch. Weights live input-major
-     * in the workspace so the forward kernel streams weight rows
-     * contiguously; the momentum step transposes the unit-major
-     * gradient back onto that layout. Same divergence/restart
-     * protocol as trainOnce.
+     * momentum update per layer per batch. Weights, gradients and
+     * momentum state share the per-sample engine's padded
+     * [input][unit] layout, so the momentum step is elementwise. Same
+     * divergence/restart protocol as trainOnce.
      */
     bool trainOnceBatched(const linalg::Matrix &xn,
                           const std::vector<double> &yn, double lr_base,

@@ -296,96 +296,13 @@ centeredDotAvx2(const double *a, const double *b, double ca, double cb,
     return foldAccumulators(v0, v1, v2, v3) + tail;
 }
 
-void
-mlpLayerNetsAvx2(std::size_t in, std::size_t out, const double *wt,
-                 const double *bias, const double *a_in, double *a_out)
-{
-    if (out == 1) {
-        a_out[0] = bias[0] + dotAvx2(wt, a_in, in);
-        return;
-    }
-    for (std::size_t r = 0; r < out; ++r)
-        a_out[r] = bias[r];
-    // Unit-ascending accumulation per input: elementwise across units,
-    // so the 4-lane sweep produces the scalar tier's bits.
-    for (std::size_t c = 0; c < in; ++c)
-        axpyAvx2(a_out, wt + c * out, a_in[c], out);
-}
-
-void
-mlpLayerDeltasAvx2(std::size_t width, std::size_t width_next,
-                   const double *wt_next, const double *d_next,
-                   double *d)
-{
-    if (width_next == 1) {
-        const double dk = d_next[0];
-        const __m256d dkv = _mm256_set1_pd(dk);
-        std::size_t j = 0;
-        for (; j + 4 <= width; j += 4)
-            _mm256_storeu_pd(
-                d + j,
-                _mm256_mul_pd(_mm256_loadu_pd(wt_next + j), dkv));
-        for (; j < width; ++j)
-            d[j] = wt_next[j] * dk;
-        return;
-    }
-    for (std::size_t j = 0; j < width; ++j)
-        d[j] = dotAvx2(wt_next + j * width_next, d_next, width_next);
-}
-
-void
-mlpUpdateLayerAvx2(std::size_t in, std::size_t out, double lr,
-                   double momentum, const double *in_act, double *d,
-                   double *wt, double *pwt, double *bias, double *pb)
-{
-    scaleAvx2(d, lr, out);
-    const __m256d mom = _mm256_set1_pd(momentum);
-    if (out == 1) {
-        const __m256d d0v = _mm256_set1_pd(d[0]);
-        const double d0 = d[0];
-        std::size_t c = 0;
-        for (; c + 4 <= in; c += 4) {
-            const __m256d dw = _mm256_add_pd(
-                _mm256_mul_pd(d0v, _mm256_loadu_pd(in_act + c)),
-                _mm256_mul_pd(mom, _mm256_loadu_pd(pwt + c)));
-            _mm256_storeu_pd(
-                wt + c, _mm256_add_pd(_mm256_loadu_pd(wt + c), dw));
-            _mm256_storeu_pd(pwt + c, dw);
-        }
-        for (; c < in; ++c) {
-            const double dw = d0 * in_act[c] + momentum * pwt[c];
-            wt[c] += dw;
-            pwt[c] = dw;
-        }
-    } else {
-        for (std::size_t c = 0; c < in; ++c) {
-            const double a = in_act[c];
-            const __m256d av = _mm256_set1_pd(a);
-            double *wc = wt + c * out;
-            double *pwc = pwt + c * out;
-            std::size_t r = 0;
-            for (; r + 4 <= out; r += 4) {
-                const __m256d dw = _mm256_add_pd(
-                    _mm256_mul_pd(_mm256_loadu_pd(d + r), av),
-                    _mm256_mul_pd(mom, _mm256_loadu_pd(pwc + r)));
-                _mm256_storeu_pd(
-                    wc + r,
-                    _mm256_add_pd(_mm256_loadu_pd(wc + r), dw));
-                _mm256_storeu_pd(pwc + r, dw);
-            }
-            for (; r < out; ++r) {
-                const double dw = d[r] * a + momentum * pwc[r];
-                wc[r] += dw;
-                pwc[r] = dw;
-            }
-        }
-    }
-    for (std::size_t r = 0; r < out; ++r) {
-        const double db = d[r] + momentum * pb[r];
-        bias[r] += db;
-        pb[r] = db;
-    }
-}
+// ---------------------------------------------------------------------
+// MLP kernels over the padded layout (simd.h): a layer of out > 1
+// units has rows of ld lanes, a multiple of 8, so every unit-wide sweep
+// is whole pairs of ymm registers with no remainder. The single-unit
+// column and the inputs are read at [0, n) only; their last partial
+// block goes through a lane mask.
+// ---------------------------------------------------------------------
 
 /** Lane mask for the first `live` of 4 lanes (maskload semantics). */
 inline __m256i
@@ -397,9 +314,161 @@ laneMask4(std::size_t live)
 }
 
 void
+mlpLayerNetsAvx2(std::size_t in, std::size_t out, std::size_t ld,
+                 const double *wt, const double *bias, const double *a_in,
+                 double *a_out)
+{
+    if (out == 1) {
+        a_out[0] = bias[0] + dotAvx2(wt, a_in, in);
+        return;
+    }
+    // Bias init, then input-ascending adds in registers: a 16-unit
+    // block (four ymm) stays live across the whole input loop, so each
+    // element sees the scalar tier's exact add sequence with no
+    // store/reload per input.
+    std::size_t r = 0;
+    for (; r + 16 <= ld; r += 16) {
+        __m256d x0 = _mm256_loadu_pd(bias + r);
+        __m256d x1 = _mm256_loadu_pd(bias + r + 4);
+        __m256d x2 = _mm256_loadu_pd(bias + r + 8);
+        __m256d x3 = _mm256_loadu_pd(bias + r + 12);
+        for (std::size_t c = 0; c < in; ++c) {
+            const __m256d av = _mm256_set1_pd(a_in[c]);
+            const double *w = wt + c * ld + r;
+            x0 = _mm256_add_pd(x0, _mm256_mul_pd(_mm256_loadu_pd(w), av));
+            x1 = _mm256_add_pd(x1,
+                               _mm256_mul_pd(_mm256_loadu_pd(w + 4), av));
+            x2 = _mm256_add_pd(x2,
+                               _mm256_mul_pd(_mm256_loadu_pd(w + 8), av));
+            x3 = _mm256_add_pd(
+                x3, _mm256_mul_pd(_mm256_loadu_pd(w + 12), av));
+        }
+        _mm256_storeu_pd(a_out + r, x0);
+        _mm256_storeu_pd(a_out + r + 4, x1);
+        _mm256_storeu_pd(a_out + r + 8, x2);
+        _mm256_storeu_pd(a_out + r + 12, x3);
+    }
+    if (r < ld) {
+        __m256d x0 = _mm256_loadu_pd(bias + r);
+        __m256d x1 = _mm256_loadu_pd(bias + r + 4);
+        for (std::size_t c = 0; c < in; ++c) {
+            const __m256d av = _mm256_set1_pd(a_in[c]);
+            const double *w = wt + c * ld + r;
+            x0 = _mm256_add_pd(x0, _mm256_mul_pd(_mm256_loadu_pd(w), av));
+            x1 = _mm256_add_pd(x1,
+                               _mm256_mul_pd(_mm256_loadu_pd(w + 4), av));
+        }
+        _mm256_storeu_pd(a_out + r, x0);
+        _mm256_storeu_pd(a_out + r + 4, x1);
+    }
+}
+
+void
+mlpLayerDeltasAvx2(std::size_t width, std::size_t width_next,
+                   std::size_t ld_next, const double *wt_next,
+                   const double *d_next, double *d)
+{
+    if (width_next == 1) {
+        const __m256d dkv = _mm256_set1_pd(d_next[0]);
+        for (std::size_t j = 0; j < width; j += 4) {
+            const __m256i m = laneMask4(width - j);
+            _mm256_maskstore_pd(
+                d + j, m,
+                _mm256_mul_pd(_mm256_maskload_pd(wt_next + j, m), dkv));
+        }
+        return;
+    }
+    for (std::size_t j = 0; j < width; ++j)
+        d[j] = dotAvx2(wt_next + j * ld_next, d_next, width_next);
+}
+
+void
+mlpUpdateLayerAvx2(std::size_t in, std::size_t out, std::size_t ld,
+                   double lr, double momentum, const double *in_act,
+                   double *d, double *wt, double *pwt, double *bias,
+                   double *pb)
+{
+    const __m256d lrv = _mm256_set1_pd(lr);
+    const __m256d mom = _mm256_set1_pd(momentum);
+    if (out == 1) {
+        d[0] *= lr;
+        const __m256d d0v = _mm256_set1_pd(d[0]);
+        for (std::size_t c = 0; c < in; c += 4) {
+            const __m256i m = laneMask4(in - c);
+            const __m256d dw = _mm256_add_pd(
+                _mm256_mul_pd(d0v, _mm256_maskload_pd(in_act + c, m)),
+                _mm256_mul_pd(mom, _mm256_maskload_pd(pwt + c, m)));
+            _mm256_maskstore_pd(
+                wt + c, m,
+                _mm256_add_pd(_mm256_maskload_pd(wt + c, m), dw));
+            _mm256_maskstore_pd(pwt + c, m, dw);
+        }
+        const double db = d[0] + momentum * pb[0];
+        bias[0] += db;
+        pb[0] = db;
+        return;
+    }
+    if (ld <= 16) {
+        // Up to 16 units (the paper's 14): each 8-unit block of scaled
+        // deltas stays in two registers across the whole input loop.
+        for (std::size_t r = 0; r < ld; r += 8) {
+            const __m256d d0 = _mm256_mul_pd(_mm256_loadu_pd(d + r), lrv);
+            const __m256d d1 =
+                _mm256_mul_pd(_mm256_loadu_pd(d + r + 4), lrv);
+            _mm256_storeu_pd(d + r, d0);
+            _mm256_storeu_pd(d + r + 4, d1);
+            for (std::size_t c = 0; c < in; ++c) {
+                const __m256d av = _mm256_set1_pd(in_act[c]);
+                double *wc = wt + c * ld + r;
+                double *pwc = pwt + c * ld + r;
+                const __m256d dw0 = _mm256_add_pd(
+                    _mm256_mul_pd(d0, av),
+                    _mm256_mul_pd(mom, _mm256_loadu_pd(pwc)));
+                const __m256d dw1 = _mm256_add_pd(
+                    _mm256_mul_pd(d1, av),
+                    _mm256_mul_pd(mom, _mm256_loadu_pd(pwc + 4)));
+                _mm256_storeu_pd(wc,
+                                 _mm256_add_pd(_mm256_loadu_pd(wc), dw0));
+                _mm256_storeu_pd(
+                    wc + 4, _mm256_add_pd(_mm256_loadu_pd(wc + 4), dw1));
+                _mm256_storeu_pd(pwc, dw0);
+                _mm256_storeu_pd(pwc + 4, dw1);
+            }
+        }
+    } else {
+        // Wider layers: each weight row is one contiguous sweep.
+        for (std::size_t r = 0; r < ld; r += 4)
+            _mm256_storeu_pd(d + r,
+                             _mm256_mul_pd(_mm256_loadu_pd(d + r), lrv));
+        for (std::size_t c = 0; c < in; ++c) {
+            const __m256d av = _mm256_set1_pd(in_act[c]);
+            double *wc = wt + c * ld;
+            double *pwc = pwt + c * ld;
+            for (std::size_t r = 0; r < ld; r += 4) {
+                const __m256d dw = _mm256_add_pd(
+                    _mm256_mul_pd(_mm256_loadu_pd(d + r), av),
+                    _mm256_mul_pd(mom, _mm256_loadu_pd(pwc + r)));
+                _mm256_storeu_pd(
+                    wc + r, _mm256_add_pd(_mm256_loadu_pd(wc + r), dw));
+                _mm256_storeu_pd(pwc + r, dw);
+            }
+        }
+    }
+    for (std::size_t r = 0; r < ld; r += 4) {
+        const __m256d db =
+            _mm256_add_pd(_mm256_loadu_pd(d + r),
+                          _mm256_mul_pd(mom, _mm256_loadu_pd(pb + r)));
+        _mm256_storeu_pd(bias + r,
+                         _mm256_add_pd(_mm256_loadu_pd(bias + r), db));
+        _mm256_storeu_pd(pb + r, db);
+    }
+}
+
+void
 mlpBatchNetsAvx2(std::size_t bn, std::size_t in, std::size_t out,
-                 const double *a, std::size_t lda, const double *wt,
-                 const double *bias, double *c, std::size_t ldc)
+                 std::size_t ld, const double *a, std::size_t lda,
+                 const double *wt, const double *bias, double *c,
+                 std::size_t ldc)
 {
     if (out == 1) {
         // Single-unit layer with a contiguous weight column: one
@@ -409,7 +478,7 @@ mlpBatchNetsAvx2(std::size_t bn, std::size_t in, std::size_t out,
         return;
     }
     // Per sample: bias init, then input-ascending rank-1 adds with a
-    // register accumulator per unit block — element (s, r) sees the
+    // register accumulator per 4-unit block — element (s, r) sees the
     // exact add sequence of the scalar mlpLayerNets loop. Samples are
     // tiled in fours so one weight-row load feeds four independent
     // accumulator chains; a lone chain is in * add-latency cycles of
@@ -424,12 +493,11 @@ mlpBatchNetsAvx2(std::size_t bn, std::size_t in, std::size_t out,
         double *c1 = c0 + ldc;
         double *c2 = c1 + ldc;
         double *c3 = c2 + ldc;
-        std::size_t r = 0;
-        for (; r + 4 <= out; r += 4) {
+        for (std::size_t r = 0; r < ld; r += 4) {
             const __m256d b0 = _mm256_loadu_pd(bias + r);
             __m256d x0 = b0, x1 = b0, x2 = b0, x3 = b0;
             for (std::size_t k = 0; k < in; ++k) {
-                const __m256d w = _mm256_loadu_pd(wt + k * out + r);
+                const __m256d w = _mm256_loadu_pd(wt + k * ld + r);
                 x0 = _mm256_add_pd(
                     x0, _mm256_mul_pd(_mm256_set1_pd(a0[k]), w));
                 x1 = _mm256_add_pd(
@@ -444,116 +512,71 @@ mlpBatchNetsAvx2(std::size_t bn, std::size_t in, std::size_t out,
             _mm256_storeu_pd(c2 + r, x2);
             _mm256_storeu_pd(c3 + r, x3);
         }
-        if (r < out) {
-            const __m256i mask = laneMask4(out - r);
-            const __m256d b0 = _mm256_maskload_pd(bias + r, mask);
-            __m256d x0 = b0, x1 = b0, x2 = b0, x3 = b0;
-            for (std::size_t k = 0; k < in; ++k) {
-                const __m256d w =
-                    _mm256_maskload_pd(wt + k * out + r, mask);
-                x0 = _mm256_add_pd(
-                    x0, _mm256_mul_pd(_mm256_set1_pd(a0[k]), w));
-                x1 = _mm256_add_pd(
-                    x1, _mm256_mul_pd(_mm256_set1_pd(a1[k]), w));
-                x2 = _mm256_add_pd(
-                    x2, _mm256_mul_pd(_mm256_set1_pd(a2[k]), w));
-                x3 = _mm256_add_pd(
-                    x3, _mm256_mul_pd(_mm256_set1_pd(a3[k]), w));
-            }
-            _mm256_maskstore_pd(c0 + r, mask, x0);
-            _mm256_maskstore_pd(c1 + r, mask, x1);
-            _mm256_maskstore_pd(c2 + r, mask, x2);
-            _mm256_maskstore_pd(c3 + r, mask, x3);
-        }
     }
-    for (; s < bn; ++s) {
-        const double *as = a + s * lda;
-        double *cs = c + s * ldc;
-        std::size_t r = 0;
-        for (; r + 4 <= out; r += 4) {
-            __m256d acc = _mm256_loadu_pd(bias + r);
-            for (std::size_t k = 0; k < in; ++k)
-                acc = _mm256_add_pd(
-                    acc,
-                    _mm256_mul_pd(_mm256_set1_pd(as[k]),
-                                  _mm256_loadu_pd(wt + k * out + r)));
-            _mm256_storeu_pd(cs + r, acc);
-        }
-        if (r < out) {
-            const __m256i mask = laneMask4(out - r);
-            __m256d acc = _mm256_maskload_pd(bias + r, mask);
-            for (std::size_t k = 0; k < in; ++k)
-                acc = _mm256_add_pd(
-                    acc, _mm256_mul_pd(
-                             _mm256_set1_pd(as[k]),
-                             _mm256_maskload_pd(wt + k * out + r,
-                                                mask)));
-            _mm256_maskstore_pd(cs + r, mask, acc);
-        }
-    }
-}
-
-
-/**
- * One column block of the batched gradient, all rows. Rows are tiled
- * in fours so one activation load feeds four accumulator chains —
- * without the tiling the s-loop is one long add-latency chain per
- * (row, block) and the loads outnumber the arithmetic.
- */
-inline void
-gradAccumPanelAvx2(std::size_t bn, std::size_t out, std::size_t in,
-                   const double *d, std::size_t ldd, const double *a,
-                   std::size_t lda, double *gw, std::size_t c,
-                   std::size_t live)
-{
-    const __m256i mask = laneMask4(live);
-    std::size_t r = 0;
-    for (; r + 4 <= out; r += 4) {
-        __m256d acc0 = _mm256_setzero_pd(), acc1 = acc0, acc2 = acc0,
-                acc3 = acc0;
-        for (std::size_t s = 0; s < bn; ++s) {
-            const __m256d av =
-                _mm256_maskload_pd(a + s * lda + c, mask);
-            const double *ds = d + s * ldd + r;
-            acc0 = _mm256_add_pd(
-                acc0, _mm256_mul_pd(_mm256_set1_pd(ds[0]), av));
-            acc1 = _mm256_add_pd(
-                acc1, _mm256_mul_pd(_mm256_set1_pd(ds[1]), av));
-            acc2 = _mm256_add_pd(
-                acc2, _mm256_mul_pd(_mm256_set1_pd(ds[2]), av));
-            acc3 = _mm256_add_pd(
-                acc3, _mm256_mul_pd(_mm256_set1_pd(ds[3]), av));
-        }
-        _mm256_maskstore_pd(gw + (r + 0) * in + c, mask, acc0);
-        _mm256_maskstore_pd(gw + (r + 1) * in + c, mask, acc1);
-        _mm256_maskstore_pd(gw + (r + 2) * in + c, mask, acc2);
-        _mm256_maskstore_pd(gw + (r + 3) * in + c, mask, acc3);
-    }
-    for (; r < out; ++r) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::size_t s = 0; s < bn; ++s)
-            acc = _mm256_add_pd(
-                acc, _mm256_mul_pd(
-                         _mm256_set1_pd(d[s * ldd + r]),
-                         _mm256_maskload_pd(a + s * lda + c, mask)));
-        _mm256_maskstore_pd(gw + r * in + c, mask, acc);
-    }
+    for (; s < bn; ++s)
+        mlpLayerNetsAvx2(in, out, ld, wt, bias, a + s * lda, c + s * ldc);
 }
 
 void
 mlpGradAccumAvx2(std::size_t bn, std::size_t out, std::size_t in,
-                 const double *d, std::size_t ldd, const double *a,
-                 std::size_t lda, double *gw)
+                 std::size_t ld, const double *d, std::size_t ldd,
+                 const double *a, std::size_t lda, double *gw)
 {
     // Register accumulators swept over all samples, stored once. Each
     // gw element still sees zero-init plus sample-ascending adds — the
     // same bits as a read-modify-write sweep — but without bn
     // store-forwarding round trips per element.
+    if (out == 1) {
+        // The single-unit column gw[c]: lanes run across inputs.
+        for (std::size_t c = 0; c < in; c += 4) {
+            const __m256i m = laneMask4(in - c);
+            __m256d acc = _mm256_setzero_pd();
+            for (std::size_t s = 0; s < bn; ++s)
+                acc = _mm256_add_pd(
+                    acc,
+                    _mm256_mul_pd(_mm256_set1_pd(d[s * ldd]),
+                                  _mm256_maskload_pd(a + s * lda + c, m)));
+            _mm256_maskstore_pd(gw + c, m, acc);
+        }
+        return;
+    }
+    // Lanes run across units. Inputs are tiled in fours so one delta
+    // load feeds four accumulator chains — without the tiling the
+    // s-loop is one long add-latency chain per (input, block) and the
+    // loads outnumber the arithmetic.
     std::size_t c = 0;
-    for (; c + 4 <= in; c += 4)
-        gradAccumPanelAvx2(bn, out, in, d, ldd, a, lda, gw, c, 4);
-    if (c < in)
-        gradAccumPanelAvx2(bn, out, in, d, ldd, a, lda, gw, c, in - c);
+    for (; c + 4 <= in; c += 4) {
+        for (std::size_t r = 0; r < ld; r += 4) {
+            __m256d acc0 = _mm256_setzero_pd(), acc1 = acc0, acc2 = acc0,
+                    acc3 = acc0;
+            for (std::size_t s = 0; s < bn; ++s) {
+                const __m256d dv = _mm256_loadu_pd(d + s * ldd + r);
+                const double *as = a + s * lda + c;
+                acc0 = _mm256_add_pd(
+                    acc0, _mm256_mul_pd(dv, _mm256_set1_pd(as[0])));
+                acc1 = _mm256_add_pd(
+                    acc1, _mm256_mul_pd(dv, _mm256_set1_pd(as[1])));
+                acc2 = _mm256_add_pd(
+                    acc2, _mm256_mul_pd(dv, _mm256_set1_pd(as[2])));
+                acc3 = _mm256_add_pd(
+                    acc3, _mm256_mul_pd(dv, _mm256_set1_pd(as[3])));
+            }
+            _mm256_storeu_pd(gw + (c + 0) * ld + r, acc0);
+            _mm256_storeu_pd(gw + (c + 1) * ld + r, acc1);
+            _mm256_storeu_pd(gw + (c + 2) * ld + r, acc2);
+            _mm256_storeu_pd(gw + (c + 3) * ld + r, acc3);
+        }
+    }
+    for (; c < in; ++c) {
+        for (std::size_t r = 0; r < ld; r += 4) {
+            __m256d acc = _mm256_setzero_pd();
+            for (std::size_t s = 0; s < bn; ++s)
+                acc = _mm256_add_pd(
+                    acc, _mm256_mul_pd(_mm256_loadu_pd(d + s * ldd + r),
+                                       _mm256_set1_pd(a[s * lda + c])));
+            _mm256_storeu_pd(gw + c * ld + r, acc);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -267,102 +267,165 @@ centeredDotAvx512(const double *a, const double *b, double ca,
     return foldAccumulators(z0, z1) + tail;
 }
 
+// ---------------------------------------------------------------------
+// MLP kernels over the padded layout (simd.h): a layer of out > 1
+// units has rows of ld lanes, a multiple of 8, so every unit-wide sweep
+// is whole zmm registers with no remainder. The single-unit column and
+// the inputs are read at [0, n) only; their last partial block goes
+// through a lane mask.
+// ---------------------------------------------------------------------
+
+/** Lane mask for the first min(n - i, 8) of the 8 lanes at i. */
+inline __mmask8
+liveMask(std::size_t i, std::size_t n)
+{
+    return n - i >= 8 ? static_cast<__mmask8>(0xff)
+                      : static_cast<__mmask8>((1u << (n - i)) - 1u);
+}
+
 void
-mlpLayerNetsAvx512(std::size_t in, std::size_t out, const double *wt,
-                   const double *bias, const double *a_in,
-                   double *a_out)
+mlpLayerNetsAvx512(std::size_t in, std::size_t out, std::size_t ld,
+                   const double *wt, const double *bias,
+                   const double *a_in, double *a_out)
 {
     if (out == 1) {
         a_out[0] = bias[0] + dotAvx512(wt, a_in, in);
         return;
     }
-    for (std::size_t r = 0; r < out; ++r)
-        a_out[r] = bias[r];
-    // Unit-ascending accumulation per input: elementwise across units,
-    // so the 8-lane sweep produces the scalar tier's bits.
-    for (std::size_t c = 0; c < in; ++c)
-        axpyAvx512(a_out, wt + c * out, a_in[c], out);
+    // Bias init, then input-ascending adds in registers: a 16-unit
+    // block (two zmm) stays live across the whole input loop, so each
+    // element sees the scalar tier's exact add sequence with no
+    // store/reload per input.
+    std::size_t r = 0;
+    for (; r + 16 <= ld; r += 16) {
+        __m512d x0 = _mm512_loadu_pd(bias + r);
+        __m512d x1 = _mm512_loadu_pd(bias + r + 8);
+        for (std::size_t c = 0; c < in; ++c) {
+            const __m512d av = _mm512_set1_pd(a_in[c]);
+            const double *w = wt + c * ld + r;
+            x0 = _mm512_add_pd(x0, _mm512_mul_pd(_mm512_loadu_pd(w), av));
+            x1 = _mm512_add_pd(x1,
+                               _mm512_mul_pd(_mm512_loadu_pd(w + 8), av));
+        }
+        _mm512_storeu_pd(a_out + r, x0);
+        _mm512_storeu_pd(a_out + r + 8, x1);
+    }
+    if (r < ld) {
+        __m512d x = _mm512_loadu_pd(bias + r);
+        for (std::size_t c = 0; c < in; ++c)
+            x = _mm512_add_pd(
+                x, _mm512_mul_pd(_mm512_loadu_pd(wt + c * ld + r),
+                                 _mm512_set1_pd(a_in[c])));
+        _mm512_storeu_pd(a_out + r, x);
+    }
 }
 
 void
 mlpLayerDeltasAvx512(std::size_t width, std::size_t width_next,
-                     const double *wt_next, const double *d_next,
-                     double *d)
+                     std::size_t ld_next, const double *wt_next,
+                     const double *d_next, double *d)
 {
     if (width_next == 1) {
-        const double dk = d_next[0];
-        const __m512d dkv = _mm512_set1_pd(dk);
-        std::size_t j = 0;
-        for (; j + 8 <= width; j += 8)
-            _mm512_storeu_pd(
-                d + j,
-                _mm512_mul_pd(_mm512_loadu_pd(wt_next + j), dkv));
-        for (; j < width; ++j)
-            d[j] = wt_next[j] * dk;
+        const __m512d dkv = _mm512_set1_pd(d_next[0]);
+        for (std::size_t j = 0; j < width; j += 8) {
+            const __mmask8 m = liveMask(j, width);
+            _mm512_mask_storeu_pd(
+                d + j, m,
+                _mm512_mul_pd(_mm512_maskz_loadu_pd(m, wt_next + j), dkv));
+        }
         return;
     }
     for (std::size_t j = 0; j < width; ++j)
-        d[j] = dotAvx512(wt_next + j * width_next, d_next, width_next);
+        d[j] = dotAvx512(wt_next + j * ld_next, d_next, width_next);
 }
 
 void
-mlpUpdateLayerAvx512(std::size_t in, std::size_t out, double lr,
-                     double momentum, const double *in_act, double *d,
-                     double *wt, double *pwt, double *bias, double *pb)
+mlpUpdateLayerAvx512(std::size_t in, std::size_t out, std::size_t ld,
+                     double lr, double momentum, const double *in_act,
+                     double *d, double *wt, double *pwt, double *bias,
+                     double *pb)
 {
-    scaleAvx512(d, lr, out);
+    const __m512d lrv = _mm512_set1_pd(lr);
     const __m512d mom = _mm512_set1_pd(momentum);
     if (out == 1) {
+        d[0] *= lr;
         const __m512d d0v = _mm512_set1_pd(d[0]);
-        const double d0 = d[0];
-        std::size_t c = 0;
-        for (; c + 8 <= in; c += 8) {
+        for (std::size_t c = 0; c < in; c += 8) {
+            const __mmask8 m = liveMask(c, in);
             const __m512d dw = _mm512_add_pd(
-                _mm512_mul_pd(d0v, _mm512_loadu_pd(in_act + c)),
-                _mm512_mul_pd(mom, _mm512_loadu_pd(pwt + c)));
-            _mm512_storeu_pd(
-                wt + c, _mm512_add_pd(_mm512_loadu_pd(wt + c), dw));
-            _mm512_storeu_pd(pwt + c, dw);
+                _mm512_mul_pd(d0v, _mm512_maskz_loadu_pd(m, in_act + c)),
+                _mm512_mul_pd(mom, _mm512_maskz_loadu_pd(m, pwt + c)));
+            _mm512_mask_storeu_pd(
+                wt + c, m,
+                _mm512_add_pd(_mm512_maskz_loadu_pd(m, wt + c), dw));
+            _mm512_mask_storeu_pd(pwt + c, m, dw);
         }
-        for (; c < in; ++c) {
-            const double dw = d0 * in_act[c] + momentum * pwt[c];
-            wt[c] += dw;
-            pwt[c] = dw;
+        const double db = d[0] + momentum * pb[0];
+        bias[0] += db;
+        pb[0] = db;
+        return;
+    }
+    if (ld <= 16) {
+        // Up to 16 units (the paper's 14): the block of scaled deltas
+        // stays in registers across the whole input loop.
+        const __m512d d0 = _mm512_mul_pd(_mm512_loadu_pd(d), lrv);
+        const __m512d d1 =
+            ld == 16 ? _mm512_mul_pd(_mm512_loadu_pd(d + 8), lrv) : d0;
+        _mm512_storeu_pd(d, d0);
+        if (ld == 16)
+            _mm512_storeu_pd(d + 8, d1);
+        for (std::size_t c = 0; c < in; ++c) {
+            const __m512d av = _mm512_set1_pd(in_act[c]);
+            double *wc = wt + c * ld;
+            double *pwc = pwt + c * ld;
+            const __m512d dw0 =
+                _mm512_add_pd(_mm512_mul_pd(d0, av),
+                              _mm512_mul_pd(mom, _mm512_loadu_pd(pwc)));
+            _mm512_storeu_pd(wc, _mm512_add_pd(_mm512_loadu_pd(wc), dw0));
+            _mm512_storeu_pd(pwc, dw0);
+            if (ld == 16) {
+                const __m512d dw1 = _mm512_add_pd(
+                    _mm512_mul_pd(d1, av),
+                    _mm512_mul_pd(mom, _mm512_loadu_pd(pwc + 8)));
+                _mm512_storeu_pd(
+                    wc + 8, _mm512_add_pd(_mm512_loadu_pd(wc + 8), dw1));
+                _mm512_storeu_pd(pwc + 8, dw1);
+            }
         }
     } else {
+        // Wider layers: each weight row is one contiguous sweep.
+        for (std::size_t r = 0; r < ld; r += 8)
+            _mm512_storeu_pd(d + r,
+                             _mm512_mul_pd(_mm512_loadu_pd(d + r), lrv));
         for (std::size_t c = 0; c < in; ++c) {
-            const double a = in_act[c];
-            const __m512d av = _mm512_set1_pd(a);
-            double *wc = wt + c * out;
-            double *pwc = pwt + c * out;
-            std::size_t r = 0;
-            for (; r + 8 <= out; r += 8) {
+            const __m512d av = _mm512_set1_pd(in_act[c]);
+            double *wc = wt + c * ld;
+            double *pwc = pwt + c * ld;
+            for (std::size_t r = 0; r < ld; r += 8) {
                 const __m512d dw = _mm512_add_pd(
                     _mm512_mul_pd(_mm512_loadu_pd(d + r), av),
                     _mm512_mul_pd(mom, _mm512_loadu_pd(pwc + r)));
                 _mm512_storeu_pd(
-                    wc + r,
-                    _mm512_add_pd(_mm512_loadu_pd(wc + r), dw));
+                    wc + r, _mm512_add_pd(_mm512_loadu_pd(wc + r), dw));
                 _mm512_storeu_pd(pwc + r, dw);
-            }
-            for (; r < out; ++r) {
-                const double dw = d[r] * a + momentum * pwc[r];
-                wc[r] += dw;
-                pwc[r] = dw;
             }
         }
     }
-    for (std::size_t r = 0; r < out; ++r) {
-        const double db = d[r] + momentum * pb[r];
-        bias[r] += db;
-        pb[r] = db;
+    for (std::size_t r = 0; r < ld; r += 8) {
+        const __m512d db =
+            _mm512_add_pd(_mm512_loadu_pd(d + r),
+                          _mm512_mul_pd(mom, _mm512_loadu_pd(pb + r)));
+        _mm512_storeu_pd(bias + r,
+                         _mm512_add_pd(_mm512_loadu_pd(bias + r), db));
+        _mm512_storeu_pd(pb + r, db);
     }
 }
 
 void
 mlpBatchNetsAvx512(std::size_t bn, std::size_t in, std::size_t out,
-                   const double *a, std::size_t lda, const double *wt,
-                   const double *bias, double *c, std::size_t ldc)
+                   std::size_t ld, const double *a, std::size_t lda,
+                   const double *wt, const double *bias, double *c,
+                   std::size_t ldc)
 {
     if (out == 1) {
         // Single-unit layer with a contiguous weight column: one
@@ -372,7 +435,7 @@ mlpBatchNetsAvx512(std::size_t bn, std::size_t in, std::size_t out,
         return;
     }
     // Per sample: bias init, then input-ascending rank-1 adds with a
-    // register accumulator per unit block — element (s, r) sees the
+    // register accumulator per 8-unit block — element (s, r) sees the
     // exact add sequence of the scalar mlpLayerNets loop. Samples are
     // tiled in fours so one weight-row load feeds four independent
     // accumulator chains; a lone chain is in * 4 cycles of exposed
@@ -387,12 +450,11 @@ mlpBatchNetsAvx512(std::size_t bn, std::size_t in, std::size_t out,
         double *c1 = c0 + ldc;
         double *c2 = c1 + ldc;
         double *c3 = c2 + ldc;
-        std::size_t r = 0;
-        for (; r + 8 <= out; r += 8) {
+        for (std::size_t r = 0; r < ld; r += 8) {
             const __m512d b0 = _mm512_loadu_pd(bias + r);
             __m512d x0 = b0, x1 = b0, x2 = b0, x3 = b0;
             for (std::size_t k = 0; k < in; ++k) {
-                const __m512d w = _mm512_loadu_pd(wt + k * out + r);
+                const __m512d w = _mm512_loadu_pd(wt + k * ld + r);
                 x0 = _mm512_add_pd(
                     x0, _mm512_mul_pd(_mm512_set1_pd(a0[k]), w));
                 x1 = _mm512_add_pd(
@@ -407,120 +469,72 @@ mlpBatchNetsAvx512(std::size_t bn, std::size_t in, std::size_t out,
             _mm512_storeu_pd(c2 + r, x2);
             _mm512_storeu_pd(c3 + r, x3);
         }
-        if (r < out) {
-            const __mmask8 mask =
-                static_cast<__mmask8>((1u << (out - r)) - 1u);
-            const __m512d b0 = _mm512_maskz_loadu_pd(mask, bias + r);
-            __m512d x0 = b0, x1 = b0, x2 = b0, x3 = b0;
-            for (std::size_t k = 0; k < in; ++k) {
-                const __m512d w =
-                    _mm512_maskz_loadu_pd(mask, wt + k * out + r);
-                x0 = _mm512_add_pd(
-                    x0, _mm512_mul_pd(_mm512_set1_pd(a0[k]), w));
-                x1 = _mm512_add_pd(
-                    x1, _mm512_mul_pd(_mm512_set1_pd(a1[k]), w));
-                x2 = _mm512_add_pd(
-                    x2, _mm512_mul_pd(_mm512_set1_pd(a2[k]), w));
-                x3 = _mm512_add_pd(
-                    x3, _mm512_mul_pd(_mm512_set1_pd(a3[k]), w));
-            }
-            _mm512_mask_storeu_pd(c0 + r, mask, x0);
-            _mm512_mask_storeu_pd(c1 + r, mask, x1);
-            _mm512_mask_storeu_pd(c2 + r, mask, x2);
-            _mm512_mask_storeu_pd(c3 + r, mask, x3);
-        }
     }
-    for (; s < bn; ++s) {
-        const double *as = a + s * lda;
-        double *cs = c + s * ldc;
-        std::size_t r = 0;
-        for (; r + 8 <= out; r += 8) {
-            __m512d acc = _mm512_loadu_pd(bias + r);
-            for (std::size_t k = 0; k < in; ++k)
-                acc = _mm512_add_pd(
-                    acc,
-                    _mm512_mul_pd(_mm512_set1_pd(as[k]),
-                                  _mm512_loadu_pd(wt + k * out + r)));
-            _mm512_storeu_pd(cs + r, acc);
-        }
-        if (r < out) {
-            const __mmask8 mask =
-                static_cast<__mmask8>((1u << (out - r)) - 1u);
-            __m512d acc = _mm512_maskz_loadu_pd(mask, bias + r);
-            for (std::size_t k = 0; k < in; ++k)
-                acc = _mm512_add_pd(
-                    acc, _mm512_mul_pd(
-                             _mm512_set1_pd(as[k]),
-                             _mm512_maskz_loadu_pd(mask,
-                                                   wt + k * out + r)));
-            _mm512_mask_storeu_pd(cs + r, mask, acc);
-        }
-    }
-}
-
-/**
- * One column block of the batched gradient, all rows. Rows are tiled
- * in fours so one activation load feeds four accumulator chains —
- * without the tiling the s-loop is one long add-latency chain per
- * (row, block) and the loads outnumber the arithmetic.
- */
-inline void
-gradAccumPanelAvx512(std::size_t bn, std::size_t out, std::size_t in,
-                     const double *d, std::size_t ldd, const double *a,
-                     std::size_t lda, double *gw, std::size_t c,
-                     __mmask8 mask)
-{
-    std::size_t r = 0;
-    for (; r + 4 <= out; r += 4) {
-        __m512d acc0 = _mm512_setzero_pd(), acc1 = acc0, acc2 = acc0,
-                acc3 = acc0;
-        for (std::size_t s = 0; s < bn; ++s) {
-            const __m512d av =
-                _mm512_maskz_loadu_pd(mask, a + s * lda + c);
-            const double *ds = d + s * ldd + r;
-            acc0 = _mm512_add_pd(
-                acc0, _mm512_mul_pd(_mm512_set1_pd(ds[0]), av));
-            acc1 = _mm512_add_pd(
-                acc1, _mm512_mul_pd(_mm512_set1_pd(ds[1]), av));
-            acc2 = _mm512_add_pd(
-                acc2, _mm512_mul_pd(_mm512_set1_pd(ds[2]), av));
-            acc3 = _mm512_add_pd(
-                acc3, _mm512_mul_pd(_mm512_set1_pd(ds[3]), av));
-        }
-        _mm512_mask_storeu_pd(gw + (r + 0) * in + c, mask, acc0);
-        _mm512_mask_storeu_pd(gw + (r + 1) * in + c, mask, acc1);
-        _mm512_mask_storeu_pd(gw + (r + 2) * in + c, mask, acc2);
-        _mm512_mask_storeu_pd(gw + (r + 3) * in + c, mask, acc3);
-    }
-    for (; r < out; ++r) {
-        __m512d acc = _mm512_setzero_pd();
-        for (std::size_t s = 0; s < bn; ++s)
-            acc = _mm512_add_pd(
-                acc, _mm512_mul_pd(
-                         _mm512_set1_pd(d[s * ldd + r]),
-                         _mm512_maskz_loadu_pd(mask,
-                                               a + s * lda + c)));
-        _mm512_mask_storeu_pd(gw + r * in + c, mask, acc);
-    }
+    for (; s < bn; ++s)
+        mlpLayerNetsAvx512(in, out, ld, wt, bias, a + s * lda,
+                           c + s * ldc);
 }
 
 void
 mlpGradAccumAvx512(std::size_t bn, std::size_t out, std::size_t in,
-                   const double *d, std::size_t ldd, const double *a,
-                   std::size_t lda, double *gw)
+                   std::size_t ld, const double *d, std::size_t ldd,
+                   const double *a, std::size_t lda, double *gw)
 {
     // Register accumulators swept over all samples, stored once. Each
     // gw element still sees zero-init plus sample-ascending adds — the
     // same bits as a read-modify-write sweep — but without bn
     // store-forwarding round trips per element.
+    if (out == 1) {
+        // The single-unit column gw[c]: lanes run across inputs.
+        for (std::size_t c = 0; c < in; c += 8) {
+            const __mmask8 m = liveMask(c, in);
+            __m512d acc = _mm512_setzero_pd();
+            for (std::size_t s = 0; s < bn; ++s)
+                acc = _mm512_add_pd(
+                    acc,
+                    _mm512_mul_pd(_mm512_set1_pd(d[s * ldd]),
+                                  _mm512_maskz_loadu_pd(m, a + s * lda + c)));
+            _mm512_mask_storeu_pd(gw + c, m, acc);
+        }
+        return;
+    }
+    // Lanes run across units. Inputs are tiled in fours so one delta
+    // load feeds four accumulator chains — without the tiling the
+    // s-loop is one long add-latency chain per (input, block) and the
+    // loads outnumber the arithmetic.
     std::size_t c = 0;
-    for (; c + 8 <= in; c += 8)
-        gradAccumPanelAvx512(bn, out, in, d, ldd, a, lda, gw, c,
-                             static_cast<__mmask8>(0xff));
-    if (c < in)
-        gradAccumPanelAvx512(
-            bn, out, in, d, ldd, a, lda, gw, c,
-            static_cast<__mmask8>((1u << (in - c)) - 1u));
+    for (; c + 4 <= in; c += 4) {
+        for (std::size_t r = 0; r < ld; r += 8) {
+            __m512d acc0 = _mm512_setzero_pd(), acc1 = acc0, acc2 = acc0,
+                    acc3 = acc0;
+            for (std::size_t s = 0; s < bn; ++s) {
+                const __m512d dv = _mm512_loadu_pd(d + s * ldd + r);
+                const double *as = a + s * lda + c;
+                acc0 = _mm512_add_pd(
+                    acc0, _mm512_mul_pd(dv, _mm512_set1_pd(as[0])));
+                acc1 = _mm512_add_pd(
+                    acc1, _mm512_mul_pd(dv, _mm512_set1_pd(as[1])));
+                acc2 = _mm512_add_pd(
+                    acc2, _mm512_mul_pd(dv, _mm512_set1_pd(as[2])));
+                acc3 = _mm512_add_pd(
+                    acc3, _mm512_mul_pd(dv, _mm512_set1_pd(as[3])));
+            }
+            _mm512_storeu_pd(gw + (c + 0) * ld + r, acc0);
+            _mm512_storeu_pd(gw + (c + 1) * ld + r, acc1);
+            _mm512_storeu_pd(gw + (c + 2) * ld + r, acc2);
+            _mm512_storeu_pd(gw + (c + 3) * ld + r, acc3);
+        }
+    }
+    for (; c < in; ++c) {
+        for (std::size_t r = 0; r < ld; r += 8) {
+            __m512d acc = _mm512_setzero_pd();
+            for (std::size_t s = 0; s < bn; ++s)
+                acc = _mm512_add_pd(
+                    acc, _mm512_mul_pd(_mm512_loadu_pd(d + s * ldd + r),
+                                       _mm512_set1_pd(a[s * lda + c])));
+            _mm512_storeu_pd(gw + c * ld + r, acc);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -264,8 +264,12 @@ maskedWeightedSquaredDistanceScalar(const double *a, const double *b,
     return combinePartials(s) + tail;
 }
 
+// The MLP kernels are the specification of the padded layout (see
+// simd.h): they loop over the `out` real lanes of each row at stride
+// ld and never touch a pad lane.
+
 void
-mlpLayerNetsScalar(std::size_t in, std::size_t out,
+mlpLayerNetsScalar(std::size_t in, std::size_t out, std::size_t ld,
                    const double *__restrict wt,
                    const double *__restrict bias,
                    const double *__restrict a_in,
@@ -279,7 +283,7 @@ mlpLayerNetsScalar(std::size_t in, std::size_t out,
         a_out[r] = bias[r];
     for (std::size_t c = 0; c < in; ++c) {
         const double a = a_in[c];
-        const double *__restrict wc = wt + c * out;
+        const double *__restrict wc = wt + c * ld;
         for (std::size_t r = 0; r < out; ++r)
             a_out[r] += wc[r] * a;
     }
@@ -287,6 +291,7 @@ mlpLayerNetsScalar(std::size_t in, std::size_t out,
 
 void
 mlpLayerDeltasScalar(std::size_t width, std::size_t width_next,
+                     std::size_t ld_next,
                      const double *__restrict wt_next,
                      const double *__restrict d_next,
                      double *__restrict d)
@@ -298,20 +303,21 @@ mlpLayerDeltasScalar(std::size_t width, std::size_t width_next,
         return;
     }
     for (std::size_t j = 0; j < width; ++j)
-        d[j] = dotScalar(wt_next + j * width_next, d_next, width_next);
+        d[j] = dotScalar(wt_next + j * ld_next, d_next, width_next);
 }
 
 void
-mlpUpdateLayerScalar(std::size_t in, std::size_t out, double lr,
-                     double momentum, const double *__restrict in_act,
+mlpUpdateLayerScalar(std::size_t in, std::size_t out, std::size_t ld,
+                     double lr, double momentum,
+                     const double *__restrict in_act,
                      double *__restrict d, double *__restrict wt,
                      double *__restrict pwt, double *__restrict bias,
                      double *__restrict pb)
 {
     scaleScalar(d, lr, out);
     if (out == 1) {
-        // Single-unit layer: one weight per input, contiguous in the
-        // transposed layout.
+        // Single-unit layer: one weight per input, one contiguous
+        // column.
         const double d0 = d[0];
         for (std::size_t c = 0; c < in; ++c) {
             const double dw = d0 * in_act[c] + momentum * pwt[c];
@@ -321,8 +327,8 @@ mlpUpdateLayerScalar(std::size_t in, std::size_t out, double lr,
     } else {
         for (std::size_t c = 0; c < in; ++c) {
             const double a = in_act[c];
-            double *__restrict wc = wt + c * out;
-            double *__restrict pwc = pwt + c * out;
+            double *__restrict wc = wt + c * ld;
+            double *__restrict pwc = pwt + c * ld;
             for (std::size_t r = 0; r < out; ++r) {
                 const double dw = d[r] * a + momentum * pwc[r];
                 wc[r] += dw;
@@ -339,37 +345,39 @@ mlpUpdateLayerScalar(std::size_t in, std::size_t out, double lr,
 
 void
 mlpBatchNetsScalar(std::size_t bn, std::size_t in, std::size_t out,
-                   const double *__restrict a, std::size_t lda,
-                   const double *__restrict wt,
+                   std::size_t ld, const double *__restrict a,
+                   std::size_t lda, const double *__restrict wt,
                    const double *__restrict bias, double *__restrict c,
                    std::size_t ldc)
 {
     // Row s is exactly mlpLayerNets on sample s, so the batched
     // forward is bit-identical to the per-sample engine's.
     for (std::size_t s = 0; s < bn; ++s)
-        mlpLayerNetsScalar(in, out, wt, bias, a + s * lda,
+        mlpLayerNetsScalar(in, out, ld, wt, bias, a + s * lda,
                            c + s * ldc);
 }
 
 void
 mlpGradAccumScalar(std::size_t bn, std::size_t out, std::size_t in,
-                   const double *__restrict d, std::size_t ldd,
-                   const double *__restrict a, std::size_t lda,
-                   double *__restrict gw)
+                   std::size_t ld, const double *__restrict d,
+                   std::size_t ldd, const double *__restrict a,
+                   std::size_t lda, double *__restrict gw)
 {
     // Zero-init then sample-ascending rank-1 adds: element (r, c)
     // receives ((0.0 + t_0) + t_1) + ... — the association the vector
     // tiers reproduce with register accumulators.
-    for (std::size_t i = 0; i < out * in; ++i)
-        gw[i] = 0.0;
+    const std::size_t stride = out == 1 ? 1 : ld;
+    for (std::size_t c = 0; c < in; ++c)
+        for (std::size_t r = 0; r < out; ++r)
+            gw[c * stride + r] = 0.0;
     for (std::size_t s = 0; s < bn; ++s) {
         const double *__restrict ds = d + s * ldd;
         const double *__restrict as = a + s * lda;
-        for (std::size_t r = 0; r < out; ++r) {
-            const double dr = ds[r];
-            double *__restrict row = gw + r * in;
-            for (std::size_t c = 0; c < in; ++c)
-                row[c] += dr * as[c];
+        for (std::size_t c = 0; c < in; ++c) {
+            const double ac = as[c];
+            double *__restrict row = gw + c * stride;
+            for (std::size_t r = 0; r < out; ++r)
+                row[r] += ds[r] * ac;
         }
     }
 }

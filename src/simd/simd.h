@@ -113,75 +113,92 @@ struct KernelTable
     double (*centeredDot)(const double *a, const double *b, double ca,
                           double cb, std::size_t n);
 
+    // -----------------------------------------------------------------
+    // MLP layer kernels over the padded transposed layout. A layer of
+    // `out` > 1 units stores its weights [input][unit]: row c holds the
+    // weights from input c to every unit, and rows are `ld` doubles
+    // apart, where ld is a multiple of 8 (one 64-byte line) and >= out
+    // (mlpPadded(out) in the training workspace). Every unit-wide
+    // vector of such a layer (bias, nets, deltas, momentum state, and
+    // each row of a batch block) likewise has ld lanes. Lanes
+    // [out, ld) are pad lanes: the vector tiers sweep whole padded
+    // rows and may read and write them, the scalar tier leaves them
+    // alone, and no real lane ever reads one — every operation is
+    // either elementwise across units or a reduction over real lanes
+    // only — so pad contents never reach a result. A single-unit layer
+    // (out == 1) instead stores its `in` weights as one contiguous
+    // column and ignores ld; kernels touch only its `in` real entries.
+    // Inputs (a_in, in_act, a) are read at [0, in) only.
+    // -----------------------------------------------------------------
+
     /**
-     * MLP forward nets over the transposed ([input][unit]) layout:
-     * a_out[r] = bias[r] + sum_c wt[c * out + r] * a_in[c]. For
-     * out == 1 this is bias + canonical dot; for wider layers the
-     * accumulation runs input-ascending per unit (elementwise across
-     * units), identical in both tiers.
+     * MLP forward nets: a_out[r] = bias[r] + sum_c wt[c * ld + r] *
+     * a_in[c] for r < out, accumulated bias-first then input-ascending
+     * (elementwise across units, so any lane width gives the same
+     * bits). For out == 1 this is bias + canonical dot over `in` terms.
      */
-    void (*mlpLayerNets)(std::size_t in, std::size_t out,
+    void (*mlpLayerNets)(std::size_t in, std::size_t out, std::size_t ld,
                          const double *wt, const double *bias,
                          const double *a_in, double *a_out);
 
     /**
-     * MLP backward delta recurrence
-     * d[j] = sum_k wt_next[j * width_next + k] * d_next[k]
-     * (canonical dot per unit; elementwise product when the successor
-     * layer has one unit).
+     * MLP backward delta recurrence for a layer of `width` units whose
+     * successor has `width_next` units at row stride ld_next:
+     * d[j] = sum_k wt_next[j * ld_next + k] * d_next[k], one canonical
+     * dot per unit over the width_next real lanes; an elementwise
+     * product d[j] = wt_next[j] * d_next[0] when the successor has one
+     * unit.
      */
     void (*mlpLayerDeltas)(std::size_t width, std::size_t width_next,
-                           const double *wt_next, const double *d_next,
-                           double *d);
+                           std::size_t ld_next, const double *wt_next,
+                           const double *d_next, double *d);
 
     /**
-     * MLP momentum weight update over the transposed layout. Scales
-     * d[r] by lr in place, then per weight
-     *     dw = d[r] * in_act[c] + momentum * pwt[c * out + r]
-     * and adds dw to the weight / stores it as the new previous
-     * delta; biases likewise. Purely elementwise.
+     * MLP momentum weight update. Scales d[r] by lr in place, then per
+     * weight
+     *     dw = d[r] * in_act[c] + momentum * pwt[c * ld + r]
+     * and adds dw to the weight / stores it as the new previous delta;
+     * biases likewise. Purely elementwise.
      */
-    void (*mlpUpdateLayer)(std::size_t in, std::size_t out, double lr,
-                           double momentum, const double *in_act,
-                           double *d, double *wt, double *pwt,
-                           double *bias, double *pb);
+    void (*mlpUpdateLayer)(std::size_t in, std::size_t out, std::size_t ld,
+                           double lr, double momentum,
+                           const double *in_act, double *d, double *wt,
+                           double *pwt, double *bias, double *pb);
 
     /**
      * Whole-minibatch layer forward (a blocked GEMM): for every
      * sample s < bn, computes the row
      *     c[s * ldc + r] = bias[r] + sum over k of
-     *                      a[s * lda + k] * wt[k * out + r]
-     * with EXACTLY the arithmetic of mlpLayerNets on row s: bias
-     * init, then input-ascending rank-1 adds (and the out == 1 case
-     * is one canonical-reduction dot per sample, like the per-sample
-     * engine's single-unit path). Each output element is a plain
-     * sequential sum, elementwise across (s, r), so any lane width
-     * lands on the same bits — and the minibatch forward is
-     * bit-identical to running the per-sample forward row by row.
-     * Vector tiers broadcast a[s][k] against contiguous rows of the
-     * transposed ([input][unit]) weight panel and keep a register
-     * accumulator per unit block across the whole input loop; the
-     * in-kernel sample loop lets the pipeline overlap independent
-     * samples' chains instead of paying an indirect call per sample.
+     *                      a[s * lda + k] * wt[k * ld + r]
+     * with EXACTLY the arithmetic of mlpLayerNets on row s, so the
+     * minibatch forward is bit-identical to running the per-sample
+     * forward row by row. For out > 1, ldc >= ld and every row of c
+     * has ld lanes. Vector tiers broadcast a[s][k] against whole
+     * padded weight rows and keep a register accumulator per unit
+     * block across the whole input loop; the in-kernel sample loop
+     * lets the pipeline overlap independent samples' chains instead
+     * of paying an indirect call per sample.
      */
     void (*mlpBatchNets)(std::size_t bn, std::size_t in, std::size_t out,
-                         const double *a, std::size_t lda,
+                         std::size_t ld, const double *a, std::size_t lda,
                          const double *wt, const double *bias, double *c,
                          std::size_t ldc);
 
     /**
-     * Batched gradient accumulation (a sum of rank-1 outer products):
-     *     gw[r * in + c] = sum over s of d[s * ldd + r] * a[s * lda + c]
-     * for r < out, c < in, OVERWRITING gw. Every element's sum starts
-     * from 0.0 and adds its per-sample products in ascending s order —
-     * plain sequential adds, elementwise across (r, c) — so any lane
-     * width and any loop nesting lands on the same bits. Vector tiers
-     * keep the accumulators in registers across the whole sample loop,
+     * Batched gradient accumulation (a sum of rank-1 outer products),
+     * written in the layer's own weight layout:
+     *     gw[c * ld + r] = sum over s of d[s * ldd + r] * a[s * lda + c]
+     * for r < out, c < in (gw[c] when out == 1), OVERWRITING gw. Every
+     * element's sum starts from 0.0 and adds its per-sample products in
+     * ascending s order — plain sequential adds, elementwise across
+     * (r, c) — so any lane width and any loop nesting lands on the same
+     * bits. For out > 1, every row of d has ld lanes. Vector tiers keep
+     * the accumulators in registers across the whole sample loop,
      * which is what makes the minibatch MLP gradient pass cheaper than
      * per-sample read-modify-write sweeps.
      */
     void (*mlpGradAccum)(std::size_t bn, std::size_t out, std::size_t in,
-                         const double *d, std::size_t ldd,
+                         std::size_t ld, const double *d, std::size_t ldd,
                          const double *a, std::size_t lda, double *gw);
 
     // -----------------------------------------------------------------
@@ -217,6 +234,16 @@ struct KernelTable
                                             const std::uint64_t *valid,
                                             std::size_t n);
 };
+
+/** Lanes in one padded MLP row: 8 doubles, one 64-byte cache line. */
+inline constexpr std::size_t kMlpRowLanes = 8;
+
+/** `n` rounded up to whole padded MLP rows (a multiple of 8). */
+constexpr std::size_t
+mlpPadded(std::size_t n)
+{
+    return (n + kMlpRowLanes - 1) / kMlpRowLanes * kMlpRowLanes;
+}
 
 /** The portable reference tier. Always available. */
 const KernelTable &scalarKernels();
@@ -351,22 +378,6 @@ gemmMicro(std::size_t k, std::size_t n, const double *a, const double *b,
           std::size_t ldb, double *c)
 {
     kernels().gemmMicro(k, n, a, b, ldb, c);
-}
-
-inline void
-mlpBatchNets(std::size_t bn, std::size_t in, std::size_t out,
-             const double *a, std::size_t lda, const double *wt,
-             const double *bias, double *c, std::size_t ldc)
-{
-    kernels().mlpBatchNets(bn, in, out, a, lda, wt, bias, c, ldc);
-}
-
-inline void
-mlpGradAccum(std::size_t bn, std::size_t out, std::size_t in,
-             const double *d, std::size_t ldd, const double *a,
-             std::size_t lda, double *gw)
-{
-    kernels().mlpGradAccum(bn, out, in, d, ldd, a, lda, gw);
 }
 
 inline double

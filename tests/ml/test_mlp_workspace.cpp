@@ -9,10 +9,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ml/mlp.h"
+#include "simd/simd.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -151,6 +154,100 @@ TEST(MlpWorkspace, GoldenEquivalenceWithPreWorkspaceImplementation)
     EXPECT_EQ(net.trainingMse(), 0.005230875614947751);
     EXPECT_EQ(net.predict(std::vector<double>{2.5, 2.5}),
               5.0102542199924294);
+}
+
+/**
+ * The MLP^T training shape of the paper protocol: 100 rows of 28
+ * features, so WEKA's automatic hidden layer has (28 + 1) / 2 = 14
+ * units — a width that is not a whole number of 8-double rows.
+ */
+struct PaperShape
+{
+    Matrix x{100, 28};
+    std::vector<double> y = std::vector<double>(100);
+};
+
+PaperShape
+paperShape()
+{
+    PaperShape data;
+    util::Rng rng(28);
+    for (std::size_t i = 0; i < data.x.rows(); ++i) {
+        for (std::size_t c = 0; c < data.x.cols(); ++c)
+            data.x(i, c) = rng.uniform(1.0, 50.0);
+        data.y[i] =
+            data.x(i, 0) + 0.5 * data.x(i, 13) - 0.25 * data.x(i, 27);
+    }
+    return data;
+}
+
+/**
+ * Runs `body(tier)` under every dispatch tier this build and CPU
+ * offer, scalar first, then restores the active tier.
+ */
+template <class Body>
+void
+forEachTier(Body body)
+{
+    const simd::Tier saved = simd::activeTier();
+    for (simd::Tier tier :
+         {simd::Tier::Scalar, simd::Tier::Avx2, simd::Tier::Avx512}) {
+        if (simd::requestTier(tier) != tier)
+            continue; // tier unavailable on this build/CPU
+        body(tier);
+    }
+    simd::setTier(saved);
+}
+
+TEST(MlpWorkspace, PaperShapeGoldenOnEveryTier)
+{
+    // 100 x 28 -> 14 -> 1 for 500 epochs with WEKA's defaults, the fit
+    // MLP^T repeats for every family-CV task. Pinned with the earlier
+    // unpadded, unaligned workspace layout: padding the rows to whole
+    // cache lines must not change a bit, on any tier.
+    const PaperShape data = paperShape();
+    forEachTier([&](simd::Tier tier) {
+        SCOPED_TRACE(simd::tierName(tier));
+        ml::Mlp net{ml::MlpConfig{}};
+        ml::MlpWorkspace ws;
+        net.fit(data.x, data.y, ws);
+        EXPECT_EQ(net.hiddenSizes(), std::vector<std::size_t>{14});
+        EXPECT_EQ(net.trainingMse(), 1.0274292387990738e-05);
+        EXPECT_EQ(net.predict(std::vector<double>(28, 25.0)),
+                  30.978495550932927);
+    });
+}
+
+TEST(MlpWorkspace, HiddenWidthsAroundTheRowPaddingAgreeAcrossTiers)
+{
+    // Widths one below, at and one above each 8-double row boundary,
+    // plus two-hidden-layer nets whose delta recurrence reads padded
+    // successor rows: every tier must reproduce the scalar tier.
+    const PaperShape data = paperShape();
+    const std::vector<std::vector<std::size_t>> shapes = {
+        {7}, {8}, {9}, {15}, {16}, {17}, {15, 9}, {9, 17}};
+    for (const auto &hidden : shapes) {
+        ml::MlpConfig config;
+        config.hiddenLayers = hidden;
+        config.epochs = 60;
+        std::vector<double> ref_loss;
+        std::vector<double> ref_pred;
+        forEachTier([&](simd::Tier tier) {
+            SCOPED_TRACE(std::string(simd::tierName(tier)) + " hidden " +
+                         std::to_string(hidden.front()) + "," +
+                         std::to_string(hidden.back()));
+            ml::Mlp net(config);
+            ml::MlpWorkspace ws;
+            net.fit(data.x, data.y, ws);
+            if (tier == simd::Tier::Scalar) {
+                ref_loss = net.lossHistory();
+                ref_pred = net.predict(data.x);
+                return;
+            }
+            EXPECT_EQ(net.lossHistory(), ref_loss);
+            EXPECT_EQ(net.predict(data.x), ref_pred);
+        });
+    }
 }
 
 TEST(MlpWorkspace, ExplicitWorkspaceMatchesPerThreadWorkspace)
